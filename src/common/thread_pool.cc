@@ -152,6 +152,15 @@ ThreadPool::parallelFor(size_t n,
         std::rethrow_exception(job.error);
 }
 
+ThreadPool &
+LazyThreadPool::get() const
+{
+    std::call_once(built_, [this] {
+        pool_ = std::make_unique<ThreadPool>(threads_);
+    });
+    return *pool_;
+}
+
 void
 parallelFor(ThreadPool *pool, size_t n,
             const std::function<void(size_t)> &body)

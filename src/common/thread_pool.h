@@ -29,6 +29,8 @@
 #include <cstddef>
 #include <exception>
 #include <functional>
+#include <memory>
+#include <mutex>  // std::once_flag only; locks are common/sync.h
 #include <thread>
 #include <vector>
 
@@ -135,6 +137,30 @@ class ThreadPool
     /** Threads inside runChunks; nested entries count again, so
      *  activeThreads() caps the sample at threadCount(). */
     std::atomic<size_t> active_{0};
+};
+
+/**
+ * A ThreadPool built on first use and kept for the owner's lifetime.
+ * Constructing one spawns no thread; the first get() builds the pool
+ * and every later get() returns the same long-lived workers, whose
+ * thread_local arenas therefore stay warm across calls (see
+ * common/arena.h). get() is safe to race from several threads.
+ */
+class LazyThreadPool
+{
+  public:
+    /** @param threads as for ThreadPool (0 = hardware_concurrency). */
+    explicit LazyThreadPool(size_t threads) : threads_(threads) {}
+
+    LazyThreadPool(const LazyThreadPool &) = delete;
+    LazyThreadPool &operator=(const LazyThreadPool &) = delete;
+
+    ThreadPool &get() const;
+
+  private:
+    size_t threads_;
+    mutable std::once_flag built_;
+    mutable std::unique_ptr<ThreadPool> pool_;
 };
 
 /**

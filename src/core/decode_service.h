@@ -3,9 +3,10 @@
  * DecodeService: asynchronous batch decoding over one shared pool,
  * with per-tenant admission control, fair scheduling, and telemetry.
  *
- * Decoder::decodeAll is synchronous and spawns a fresh ThreadPool per
- * call; a device serving heavy traffic instead wants to enqueue work
- * (a batch of read sets, one per partition) and collect futures. The
+ * Decoder::decodeAll is synchronous: it decodes one read set on the
+ * calling thread plus a pool, and returns when done. A device serving
+ * heavy traffic instead wants to enqueue work (a batch of read sets,
+ * one per partition) and collect futures. The
  * service owns one long-lived ThreadPool and per-tenant submission
  * queues drained by a weighted-deficit-round-robin dispatcher:
  *

@@ -121,7 +121,7 @@ candidateBefore(const StrandCandidate &a, const StrandCandidate &b)
 } // namespace
 
 Decoder::Decoder(const Partition &partition, DecoderParams params)
-    : partition_(partition), params_(params)
+    : partition_(partition), params_(params), pool_(params_.threads)
 {}
 
 std::map<std::tuple<uint64_t, unsigned, unsigned>, RecoveredSlot>
@@ -252,12 +252,7 @@ Decoder::decodeAll(const std::vector<sim::Read> &reads,
                    DecodeStats *stats,
                    const telemetry::TraceContext &trace) const
 {
-    // Clamp the pool to the workload: a decode of a handful of reads
-    // must not spawn hardware_concurrency threads just to join them.
-    ThreadPool pool(
-        std::min(ThreadPool::resolveThreadCount(params_.threads),
-                 std::max<size_t>(1, reads.size())));
-    return decodeAll(reads, stats, pool, trace);
+    return decodeAll(reads, stats, pool_.get(), trace);
 }
 
 std::map<uint64_t, BlockVersions>
@@ -385,25 +380,12 @@ StreamingDecoder::StreamingDecoder(const Partition &partition,
                                    DecoderParams params,
                                    StreamingParams streaming)
     : partition_(partition), params_(params),
-      streaming_(std::move(streaming)), clusterer_(params_.cluster)
+      streaming_(std::move(streaming)), clusterer_(params_.cluster),
+      own_pool_(params_.threads)
 {
     eager_ = !streaming_.expected_units.empty();
     for (const UnitKey &unit : streaming_.expected_units)
         expected_remaining_.insert(unit);
-}
-
-StreamingDecoder::~StreamingDecoder() = default;
-
-ThreadPool &
-StreamingDecoder::resolvePool(ThreadPool *pool)
-{
-    if (pool)
-        return *pool;
-    if (!own_pool_) {
-        own_pool_ = std::make_unique<ThreadPool>(
-            ThreadPool::resolveThreadCount(params_.threads));
-    }
-    return *own_pool_;
 }
 
 size_t
@@ -423,7 +405,7 @@ StreamingDecoder::feed(const std::vector<sim::Read> &reads,
     stats_.reads_consumed += reads.size();
     if (reads.empty())
         return 0;
-    ThreadPool &p = resolvePool(pool);
+    ThreadPool &p = pool ? *pool : own_pool_.get();
 
     // Step 1: primer filter — the same per-read decision as the
     // one-shot pipeline, so the surviving stream is identical.
@@ -713,7 +695,7 @@ StreamingDecoder::finish(DecodeStats *stats, ThreadPool *pool,
 {
     fatalIf(finished_, "StreamingDecoder::finish called twice");
     finished_ = true;
-    ThreadPool &p = resolvePool(pool);
+    ThreadPool &p = pool ? *pool : own_pool_.get();
 
     // Bring consensus up to date for every usable cluster that grew
     // since its last refresh. Deferred mode: that is all of them, so

@@ -42,15 +42,12 @@
 #include <vector>
 
 #include "cluster/clusterer.h"
+#include "common/thread_pool.h"
 #include "consensus/bma.h"
 #include "core/partition.h"
 #include "core/update.h"
 #include "sim/sequencer.h"
 #include "telemetry/trace.h"
-
-namespace dnastore {
-class ThreadPool;
-}
 
 namespace dnastore::core {
 
@@ -157,6 +154,12 @@ class Decoder
     /**
      * Decode every unit present in the reads. Keys are block ids;
      * each entry maps version slots to descrambled unit payloads.
+     *
+     * Runs on the decoder's own pool of DecoderParams::threads
+     * workers, built on the first call (never at construction) and
+     * kept for the decoder's lifetime, so a steady-state decode
+     * reuses warm worker arenas instead of growing new ones. Safe to
+     * call from several threads at once.
      */
     std::map<uint64_t, BlockVersions> decodeAll(
         const std::vector<sim::Read> &reads,
@@ -164,11 +167,12 @@ class Decoder
         const telemetry::TraceContext &trace = {}) const;
 
     /**
-     * decodeAll through a caller-owned pool. Used by DecodeService to
-     * share one long-lived pool across submissions instead of paying
-     * a pool spawn per call; DecoderParams::threads is ignored in
-     * favor of the pool's size. Output is byte-identical to the
-     * pool-per-call overload for any pool size.
+     * decodeAll through a caller-owned pool. DecodeService and
+     * PoolManager use it to run many decoders on one long-lived pool,
+     * so live threads do not grow with the number of decoders; the
+     * decoder's own pool is then never built. DecoderParams::threads
+     * is ignored in favor of the pool's size. Output is byte-identical
+     * to the own-pool overload for any pool size.
      *
      * @p trace parents per-stage spans (decode.primer_filter,
      * decode.cluster, decode.consensus, one decode.rs_unit per RS
@@ -220,6 +224,9 @@ class Decoder
 
     /** Anchor for livenessToken(); dies with the decoder. */
     std::shared_ptr<const void> liveness_ = std::make_shared<int>(0);
+
+    /** Serves the pool-less decodeAll; built on its first call. */
+    LazyThreadPool pool_;
 
     /** Steps 1-3: reads -> per-address payload candidates. */
     std::map<std::tuple<uint64_t, unsigned, unsigned>, RecoveredSlot>
@@ -304,7 +311,6 @@ class StreamingDecoder
   public:
     StreamingDecoder(const Partition &partition, DecoderParams params,
                      StreamingParams streaming = {});
-    ~StreamingDecoder();
 
     StreamingDecoder(const StreamingDecoder &) = delete;
     StreamingDecoder &operator=(const StreamingDecoder &) = delete;
@@ -371,8 +377,6 @@ class StreamingDecoder
         size_t index_mismatches = 0;
     };
 
-    ThreadPool &resolvePool(ThreadPool *pool);
-
     /** Recompute consensus for @p cluster_ids (ascending), refresh
      *  their views, and collect the unit keys whose column maps
      *  changed. */
@@ -411,8 +415,8 @@ class StreamingDecoder
     bool finished_ = false;
     DecodeStats stats_;
 
-    /** Lazily created when feed()/finish() get no external pool. */
-    std::unique_ptr<ThreadPool> own_pool_;
+    /** Serves feed()/finish() calls given no external pool. */
+    LazyThreadPool own_pool_;
 };
 
 } // namespace dnastore::core

@@ -9,7 +9,8 @@
 namespace dnastore::core {
 
 PoolManager::PoolManager(PoolManagerParams params)
-    : params_(std::move(params)), costs_(params_.costs)
+    : params_(std::move(params)), costs_(params_.costs),
+      decode_pool_(params_.decoder.threads)
 {
     primer::LibraryGenerator generator(params_.config.primer_length,
                                        params_.primer_constraints,
@@ -115,7 +116,8 @@ PoolManager::decodeReads(const FileState &state,
                          const telemetry::TraceContext &trace) const
 {
     if (!service)
-        return state.decoder->decodeAll(reads, stats, trace);
+        return state.decoder->decodeAll(reads, stats, decode_pool_.get(),
+                                        trace);
     DecodeOutcome outcome =
         service
             ->submit(*state.decoder, std::move(reads), tenant, trace)

@@ -151,6 +151,11 @@ class PoolManager
     std::map<uint32_t, FileState> files_;
     uint32_t next_file_id_ = 1;
 
+    /** One pool for every file's service-less decodes, built on the
+     *  first one: live threads stay bounded by
+     *  DecoderParams::threads however many files are stored. */
+    LazyThreadPool decode_pool_;
+
     FileState &stateOf(uint32_t file_id);
     const FileState &stateOf(uint32_t file_id) const;
 

@@ -176,8 +176,11 @@ TEST_F(DecoderTest, SteadyStateDecodePerformsNoArenaGrowth)
     // First decode warms every worker arena to its high-water mark;
     // after that, a whole decode pass over the same reads must not
     // allocate a single new arena chunk — the per-read scratch all
-    // comes from rewound arena memory.
+    // comes from rewound arena memory. Four threads, not the host's
+    // core count: on one core the pool runs inline and the check
+    // would say nothing about worker arenas.
     DecoderParams params;
+    params.threads = 4;
     Decoder decoder(*partition_, params);
     auto reads = sequenceWholePool(20 * 15 * 12);
     decoder.decodeAll(reads);

@@ -5,7 +5,8 @@
  * exception propagation, the inline sequential paths, and the
  * multi-job surface (concurrent parallelFor calls from several
  * threads, nested fork-join from inside a job body) that the
- * DecodeService's cross-partition sharding builds on.
+ * DecodeService's cross-partition sharding builds on, and the lazily
+ * built pool that decoders keep for their lifetime.
  */
 
 #include <algorithm>
@@ -239,6 +240,22 @@ TEST(ThreadPoolTest, NullPoolHelperRunsInline)
     parallelFor(&pool, hit.size(), [&](size_t i) { hit[i] = 1; });
     for (uint8_t h : hit)
         EXPECT_EQ(h, 1);
+}
+
+TEST(ThreadPoolTest, LazyPoolIsBuiltOnceUnderConcurrentFirstUse)
+{
+    // Several threads race the first get(); all must get the same
+    // pool, sized as requested, and keep getting it afterwards.
+    LazyThreadPool lazy(3);
+    std::vector<ThreadPool *> seen(4, nullptr);
+    std::vector<std::thread> callers;
+    for (size_t t = 0; t < seen.size(); ++t)
+        callers.emplace_back([&, t] { seen[t] = &lazy.get(); });
+    for (std::thread &caller : callers)
+        caller.join();
+    for (ThreadPool *pool : seen)
+        EXPECT_EQ(pool, &lazy.get());
+    EXPECT_EQ(lazy.get().threadCount(), 3u);
 }
 
 } // namespace
