@@ -19,17 +19,7 @@ struct Active
 Isa
 detectBest()
 {
-#if defined(__aarch64__)
-    return Isa::Neon;
-#elif defined(__x86_64__) || defined(__i386__)
-    if (__builtin_cpu_supports("avx2"))
-        return Isa::Avx2;
-    if (__builtin_cpu_supports("sse4.2"))
-        return Isa::Sse42;
-    return Isa::Scalar;
-#else
-    return Isa::Scalar;
-#endif
+    return cpuSupports(Isa::Avx2) ? Isa::Avx2 : Isa::Scalar;
 }
 
 Isa
@@ -37,14 +27,10 @@ parseIsaName(std::string_view name)
 {
     if (name == "scalar")
         return Isa::Scalar;
-    if (name == "sse4.2" || name == "sse42")
-        return Isa::Sse42;
     if (name == "avx2")
         return Isa::Avx2;
-    if (name == "neon")
-        return Isa::Neon;
     fatalIf(true, "DNASTORE_FORCE_ISA: unknown ISA '", name,
-            "' (expected scalar, sse4.2, avx2 or neon)");
+            "' (expected scalar or avx2)");
     return Isa::Scalar; // unreachable
 }
 
@@ -83,12 +69,8 @@ isaName(Isa isa)
     switch (isa) {
     case Isa::Scalar:
         return "scalar";
-    case Isa::Sse42:
-        return "sse4.2";
     case Isa::Avx2:
         return "avx2";
-    case Isa::Neon:
-        return "neon";
     }
     return "unknown";
 }
@@ -105,16 +87,9 @@ cpuSupports(Isa isa)
 {
     if (isa == Isa::Scalar)
         return true;
-#if defined(__aarch64__)
-    return isa == Isa::Neon;
-#elif defined(__x86_64__) || defined(__i386__)
-    if (isa == Isa::Avx2)
-        return __builtin_cpu_supports("avx2");
-    if (isa == Isa::Sse42)
-        return __builtin_cpu_supports("sse4.2");
-    return false;
+#if defined(__x86_64__) || defined(__i386__)
+    return __builtin_cpu_supports("avx2");
 #else
-    (void)isa;
     return false;
 #endif
 }
@@ -136,22 +111,11 @@ kernelsFor(Isa isa)
 {
     if (!cpuSupports(isa))
         return nullptr;
-    switch (isa) {
-    case Isa::Scalar:
-        return &detail::scalarKernels();
 #if defined(__x86_64__) || defined(__i386__)
-    case Isa::Sse42:
-        return &detail::sse42Kernels();
-    case Isa::Avx2:
+    if (isa == Isa::Avx2)
         return &detail::avx2Kernels();
 #endif
-#if defined(__aarch64__)
-    case Isa::Neon:
-        return &detail::neonKernels();
-#endif
-    default:
-        return nullptr;
-    }
+    return &detail::scalarKernels();
 }
 
 ScopedForceIsa::ScopedForceIsa(Isa isa)

@@ -1,22 +1,22 @@
 /**
  * @file
  * Runtime-dispatched SIMD kernel layer for the per-read decode hot
- * loops (banded edit-distance rows, MinHash hashing, GF(16)/GF(256)
- * Reed-Solomon syndrome and evaluation sweeps).
+ * loops: banded edit-distance rows (consensus, cluster verification)
+ * and MinHash hashing (clustering).
  *
  * Dispatch rules:
  *  - Every kernel has a portable scalar reference implementation;
- *    the vector paths (SSE4.2 / AVX2 on x86-64, NEON on aarch64) are
- *    selected ONCE, at first use, from CPU feature detection.
+ *    the AVX2 path (x86-64) is selected ONCE, at first use, from CPU
+ *    feature detection.
  *  - All kernels are exact: for any input they produce bit-identical
- *    results on every ISA (integer min/add/xor/table-lookup only, no
- *    floating point, no reassociation of float sums). The decode
- *    pipeline's determinism contract — byte-identical output for any
- *    thread count — therefore extends to "for any ISA", and the
- *    parity suite in tests/simd_kernels_test.cc pins it.
- *  - `DNASTORE_FORCE_ISA` (values: scalar, sse4.2, avx2, neon)
- *    overrides detection for testing; forcing an ISA the CPU cannot
- *    run is a fatal error, as is an unknown value.
+ *    results on every ISA (integer min/add/xor only, no floating
+ *    point, no reassociation of float sums). The decode pipeline's
+ *    determinism contract — byte-identical output for any thread
+ *    count — therefore extends to "for any ISA", and the parity
+ *    suite in tests/simd_kernels_test.cc pins it.
+ *  - `DNASTORE_FORCE_ISA` (values: scalar, avx2) overrides detection
+ *    for testing; forcing an ISA the CPU cannot run is a fatal
+ *    error, as is an unknown value.
  *
  * New vectorized kernels must land scalar-reference-first: the
  * scalar entry in `Kernels` defines the semantics, the vector
@@ -34,13 +34,11 @@ namespace dnastore::simd {
 
 /** Instruction sets the dispatcher can select. */
 enum class Isa : uint8_t {
-    Scalar = 0,
-    Sse42 = 1,
-    Avx2 = 2,
-    Neon = 3,
+    Scalar,
+    Avx2,
 };
 
-/** Human-readable name ("scalar", "sse4.2", "avx2", "neon"). */
+/** Human-readable name ("scalar", "avx2"). */
 const char *isaName(Isa isa);
 
 /** Saturation value used as "infinity" by the uint16 DP kernels. */
@@ -93,43 +91,6 @@ struct Kernels
     void (*minhash)(const uint8_t *bases, size_t len, size_t q,
                     uint64_t mask, const uint64_t *salts,
                     size_t num_salts, uint64_t *out);
-
-    /**
-     * Batch GF(16) Reed-Solomon syndromes across the rows of an
-     * encoding unit. cols[c] points at `rows` nibble values (0..15)
-     * of column c; the codeword of row r is cols[0][r]..cols[n-1][r]
-     * in descending-power order. For each syndrome index s in
-     * [0, parity):
-     *   acc = 0; for c: acc = mul_tables[s*16 + acc] ^ cols[c][r]
-     *   out[s*rows + r] = acc
-     * where mul_tables[s*16 + v] == GF16::mul(alpha^(s+1), v).
-     */
-    void (*gf16_syndromes)(const uint8_t *const *cols, size_t ncols,
-                           size_t parity, size_t rows,
-                           const uint8_t *mul_tables, uint8_t *out);
-
-    /**
-     * GF(16) table-lookup accumulate: dst[i] ^= table16[src[i]] for
-     * i in [0, len), src values 0..15. With table16 = row c of
-     * GF16::mulTable() this is dst[i] ^= c * src[i], the core of the
-     * Chien/Forney evaluation sweeps.
-     */
-    void (*gf16_table_xor)(const uint8_t *table16, const uint8_t *src,
-                           uint8_t *dst, size_t len);
-
-    /**
-     * GF(256) multiply-by-constant accumulate via split-nibble
-     * tables: dst[i] ^= GF256::mul(c, src[i]) for i in [0, len).
-     * mul_lo/mul_hi are GF256::mulTablesLo()/Hi() (256 rows of 16):
-     * the product is mul_lo[c*16 + (s & 0xF)] ^ mul_hi[c*16 + (s >>
-     * 4)]. The tables are built from the zero-checked scalar
-     * GF256::mul, so no path — scalar or vector — ever consults the
-     * log[0] sentinel.
-     */
-    void (*gf256_mul_const_accum)(uint8_t c, const uint8_t *src,
-                                  uint8_t *dst, size_t len,
-                                  const uint8_t *mul_lo,
-                                  const uint8_t *mul_hi);
 };
 
 /** Best ISA the current CPU supports (ignores the env override). */
@@ -150,8 +111,8 @@ const Kernels &kernels();
 
 /**
  * Kernel table for a specific ISA, or nullptr when that ISA is not
- * compiled in or not runnable on this CPU. Parity tests iterate all
- * non-null tables against the scalar reference.
+ * runnable on this CPU. The parity tests compare the AVX2 table, when
+ * there is one, against the scalar reference.
  */
 const Kernels *kernelsFor(Isa isa);
 

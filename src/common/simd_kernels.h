@@ -1,8 +1,8 @@
 /**
  * @file
  * Internal per-ISA kernel tables backing common/simd.h. Each table
- * lives in its own translation unit so the vector TUs can be built
- * with the matching -m flags; nothing outside common/ includes this
+ * lives in its own translation unit so the AVX2 one can be built
+ * with -mavx2; nothing outside common/ includes this
  * header — use simd::kernels() / simd::kernelsFor() instead.
  */
 
@@ -13,16 +13,11 @@
 
 namespace dnastore::simd::detail {
 
-/** Always present; defines the semantics every other table matches. */
+/** Always present; defines the semantics the AVX2 table matches. */
 const Kernels &scalarKernels();
 
 #if defined(__x86_64__) || defined(__i386__)
-const Kernels &sse42Kernels();
 const Kernels &avx2Kernels();
-#endif
-
-#if defined(__aarch64__)
-const Kernels &neonKernels();
 #endif
 
 } // namespace dnastore::simd::detail

@@ -1,6 +1,6 @@
 /**
  * @file
- * AVX2 kernels (16 uint16 lanes / 32 byte lanes / 4 uint64 lanes).
+ * AVX2 kernels (16 uint16 lanes / 4 uint64 lanes).
  * Compiled with -mavx2; reachable only through the dispatch table
  * after a cpuSupports(Avx2) check. Must stay bit-identical to the
  * scalar reference (tests/simd_kernels_test.cc).
@@ -9,7 +9,6 @@
 #if defined(__x86_64__) || defined(__i386__)
 
 #include <algorithm>
-#include <cstring>
 
 #include <immintrin.h>
 
@@ -218,97 +217,12 @@ minhashAvx2(const uint8_t *bases, size_t len, size_t q, uint64_t mask,
     }
 }
 
-void
-gf16SyndromesAvx2(const uint8_t *const *cols, size_t ncols,
-                  size_t parity, size_t rows,
-                  const uint8_t *mul_tables, uint8_t *out)
-{
-    const size_t full = rows & ~size_t{31};
-    for (size_t s = 0; s < parity; ++s) {
-        const __m256i tbl = _mm256_broadcastsi128_si256(
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(
-                mul_tables + s * 16)));
-        const uint8_t *tbl8 = mul_tables + s * 16;
-        uint8_t *dst = out + s * rows;
-        for (size_t r = 0; r < full; r += 32) {
-            __m256i acc = _mm256_setzero_si256();
-            for (size_t c = 0; c < ncols; ++c) {
-                __m256i col = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(cols[c] + r));
-                acc = _mm256_xor_si256(_mm256_shuffle_epi8(tbl, acc),
-                                       col);
-            }
-            _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + r),
-                                acc);
-        }
-        for (size_t r = full; r < rows; ++r) {
-            uint8_t acc = 0;
-            for (size_t c = 0; c < ncols; ++c)
-                acc = tbl8[acc] ^ cols[c][r];
-            dst[r] = acc;
-        }
-    }
-}
-
-void
-gf16TableXorAvx2(const uint8_t *table16, const uint8_t *src,
-                 uint8_t *dst, size_t len)
-{
-    const __m256i tbl = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(table16)));
-    size_t i = 0;
-    for (; i + 32 <= len; i += 32) {
-        __m256i s = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(src + i));
-        __m256i d = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(dst + i));
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(dst + i),
-            _mm256_xor_si256(d, _mm256_shuffle_epi8(tbl, s)));
-    }
-    for (; i < len; ++i)
-        dst[i] ^= table16[src[i]];
-}
-
-void
-gf256MulConstAccumAvx2(uint8_t c, const uint8_t *src, uint8_t *dst,
-                       size_t len, const uint8_t *mul_lo,
-                       const uint8_t *mul_hi)
-{
-    const uint8_t *lo8 = mul_lo + static_cast<size_t>(c) * 16;
-    const uint8_t *hi8 = mul_hi + static_cast<size_t>(c) * 16;
-    const __m256i tlo = _mm256_broadcastsi128_si256(
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(lo8)));
-    const __m256i thi = _mm256_broadcastsi128_si256(
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(hi8)));
-    const __m256i nib = _mm256_set1_epi8(0x0F);
-    size_t i = 0;
-    for (; i + 32 <= len; i += 32) {
-        __m256i s = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(src + i));
-        __m256i d = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(dst + i));
-        __m256i lo = _mm256_and_si256(s, nib);
-        __m256i hi = _mm256_and_si256(_mm256_srli_epi16(s, 4), nib);
-        __m256i prod =
-            _mm256_xor_si256(_mm256_shuffle_epi8(tlo, lo),
-                             _mm256_shuffle_epi8(thi, hi));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i),
-                            _mm256_xor_si256(d, prod));
-    }
-    for (; i < len; ++i)
-        dst[i] ^= lo8[src[i] & 0xF] ^ hi8[src[i] >> 4];
-}
-
 } // namespace
 
 const Kernels &
 avx2Kernels()
 {
-    static const Kernels table = {
-        editRowAvx2,      minhashAvx2,           gf16SyndromesAvx2,
-        gf16TableXorAvx2, gf256MulConstAccumAvx2,
-    };
+    static const Kernels table = {editRowAvx2, minhashAvx2};
     return table;
 }
 

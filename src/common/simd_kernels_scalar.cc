@@ -2,8 +2,8 @@
  * @file
  * Portable scalar reference kernels. These define the semantics the
  * vector implementations must reproduce bit-for-bit; they are also
- * the active table when DNASTORE_FORCE_ISA=scalar or the CPU offers
- * no vector extension we target.
+ * the active table when DNASTORE_FORCE_ISA=scalar or the CPU lacks
+ * AVX2.
  */
 
 #include <algorithm>
@@ -69,51 +69,12 @@ minhashScalar(const uint8_t *bases, size_t len, size_t q, uint64_t mask,
     }
 }
 
-void
-gf16SyndromesScalar(const uint8_t *const *cols, size_t ncols,
-                    size_t parity, size_t rows,
-                    const uint8_t *mul_tables, uint8_t *out)
-{
-    for (size_t s = 0; s < parity; ++s) {
-        const uint8_t *tbl = mul_tables + s * 16;
-        uint8_t *dst = out + s * rows;
-        std::fill(dst, dst + rows, uint8_t{0});
-        for (size_t c = 0; c < ncols; ++c) {
-            const uint8_t *col = cols[c];
-            for (size_t r = 0; r < rows; ++r)
-                dst[r] = tbl[dst[r]] ^ col[r];
-        }
-    }
-}
-
-void
-gf16TableXorScalar(const uint8_t *table16, const uint8_t *src,
-                   uint8_t *dst, size_t len)
-{
-    for (size_t i = 0; i < len; ++i)
-        dst[i] ^= table16[src[i]];
-}
-
-void
-gf256MulConstAccumScalar(uint8_t c, const uint8_t *src, uint8_t *dst,
-                         size_t len, const uint8_t *mul_lo,
-                         const uint8_t *mul_hi)
-{
-    const uint8_t *lo = mul_lo + static_cast<size_t>(c) * 16;
-    const uint8_t *hi = mul_hi + static_cast<size_t>(c) * 16;
-    for (size_t i = 0; i < len; ++i)
-        dst[i] ^= lo[src[i] & 0xF] ^ hi[src[i] >> 4];
-}
-
 } // namespace
 
 const Kernels &
 scalarKernels()
 {
-    static const Kernels table = {
-        editRowScalar,     minhashScalar,           gf16SyndromesScalar,
-        gf16TableXorScalar, gf256MulConstAccumScalar,
-    };
+    static const Kernels table = {editRowScalar, minhashScalar};
     return table;
 }
 

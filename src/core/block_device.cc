@@ -1,6 +1,7 @@
 #include "core/block_device.h"
 
 #include <algorithm>
+#include <set>
 #include <utility>
 
 #include "common/rng.h"
@@ -204,9 +205,19 @@ BlockDevice::resolveBlock(
         decoder_.applyUpdateChain(base, it->second, &overflow);
 
     std::map<uint64_t, BlockVersions> extra = units;
+    std::set<uint64_t> visited;
     while (overflow) {
         uint64_t container = *overflow;
         overflow.reset();
+        // appendUpdate allocates containers strictly between the data
+        // blocks and leafCount(), each once per chain. A pointer
+        // outside that range, or back into this chain, is a phantom
+        // record (another block's molecules decoded at this address):
+        // following it would abort in blockPrimer or never end.
+        if (container <= data_blocks_ ||
+            container >= partition_.tree().leafCount() ||
+            !visited.insert(container).second)
+            return std::nullopt;
         auto container_it = extra.find(container);
         if (container_it == extra.end()) {
             // Overflow hop: one more targeted round trip.

@@ -206,7 +206,11 @@ class BlockDevice
         DecodeService *service, TenantId tenant,
         const telemetry::TraceContext &trace);
 
-    /** Apply a block's updates, following overflow hops. */
+    /** Apply a block's updates, following overflow hops. nullopt
+     *  when the block or a hop is unrecoverable, or when a pointer
+     *  names a container appendUpdate could not have allocated
+     *  (outside (blockCount(), leafCount()) or already in the
+     *  chain). */
     std::optional<Bytes> resolveBlock(
         uint64_t block, const std::map<uint64_t, BlockVersions> &units,
         DecodeService *service, TenantId tenant,

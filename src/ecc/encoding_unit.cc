@@ -5,7 +5,6 @@
 
 #include "common/arena.h"
 #include "common/error.h"
-#include "common/simd.h"
 
 namespace dnastore::ecc {
 
@@ -120,14 +119,12 @@ EncodingUnitCodec::decode(
         }
     }
 
-    // One SIMD pass computes every syndrome of every row codeword
+    // One pass computes every syndrome of every row codeword
     // (synd[s * row_count + r] = syndrome s of row r), so clean rows
     // — the overwhelming majority — never materialize a received
     // word or touch the RS decoder at all.
     uint8_t *synd = arena.allocArray<uint8_t>(parity * row_count);
-    simd::kernels().gf16_syndromes(col_ptrs, n_, parity, row_count,
-                                   rs_.syndromeMulTables().data(),
-                                   synd);
+    rs_.rowSyndromes(col_ptrs, row_count, synd);
 
     uint8_t *data_nibbles = arena.allocArray<uint8_t>(k_ * row_count);
     std::memset(data_nibbles, 0, k_ * row_count);

@@ -24,9 +24,9 @@ namespace dnastore::ecc {
  * returns 0 early) or panics (div/inv/log). The log table stores
  * kZeroLogSentinel at index 0 — an out-of-range exponent chosen so
  * that any accidental read produces detectably wrong results instead
- * of silently aliasing log[1] == 0. SIMD helpers must therefore be
- * built from the zero-checked scalar ops (see mulTable()), never
- * from raw log/exp lookups.
+ * of silently aliasing log[1] == 0. Lookup tables must therefore be
+ * built from the zero-checked ops (see mulTable()), never from raw
+ * log/exp lookups.
  */
 class GF16
 {
@@ -61,9 +61,9 @@ class GF16
 
     /**
      * 16-entry multiply-by-constant row: mulTable(c)[v] == mul(c, v)
-     * for v in 0..15. This is the exact shape the PSHUFB/TBL GF
-     * kernels consume; rows are built once through the zero-checked
-     * mul(), so the SIMD paths never read log[0]
+     * for v in 0..15, the per-syndrome multiplier of
+     * ReedSolomon::rowSyndromes(). Rows are built once through the
+     * zero-checked mul(), so a lookup never reads log[0]
      * (tests/gf16_test.cc pins both properties).
      */
     static const uint8_t *mulTable(uint8_t c);

@@ -90,39 +90,4 @@ GF256::log(uint8_t a)
     return tables().log[a];
 }
 
-namespace {
-
-/** 256 rows x 16 entries: mul(c, v) or mul(c, v << 4). Built via
- *  the zero-checked mul(), so log[0] is never consulted. */
-std::array<uint8_t, 256 * 16>
-buildNibbleTables(bool high)
-{
-    std::array<uint8_t, 256 * 16> t{};
-    for (unsigned c = 0; c < 256; ++c) {
-        for (unsigned v = 0; v < 16; ++v) {
-            uint8_t operand =
-                static_cast<uint8_t>(high ? v << 4 : v);
-            t[c * 16 + v] =
-                GF256::mul(static_cast<uint8_t>(c), operand);
-        }
-    }
-    return t;
-}
-
-} // namespace
-
-const uint8_t *
-GF256::mulTablesLo()
-{
-    static const auto t = buildNibbleTables(false);
-    return t.data();
-}
-
-const uint8_t *
-GF256::mulTablesHi()
-{
-    static const auto t = buildNibbleTables(true);
-    return t.data();
-}
-
 } // namespace dnastore::ecc

@@ -24,8 +24,7 @@ namespace dnastore::ecc {
  * zero operands away before any table lookup and div/inv/log panic.
  * log[0] holds kZeroLogSentinel, an out-of-range exponent, so an
  * accidental read is detectably wrong rather than aliasing
- * log[1] == 0. SIMD helpers are derived from the zero-checked ops
- * (see mulTablesLo/Hi), never from raw log/exp lookups.
+ * log[1] == 0.
  */
 class GF256
 {
@@ -49,17 +48,6 @@ class GF256
 
     /** Discrete log base alpha; input must be nonzero. */
     static unsigned log(uint8_t a);
-
-    /**
-     * Split-nibble multiply tables in the layout the PSHUFB/TBL
-     * kernels consume: mulTablesLo()[c * 16 + v] == mul(c, v) and
-     * mulTablesHi()[c * 16 + v] == mul(c, v << 4), so
-     * mul(c, x) == lo[c * 16 + (x & 0xF)] ^ hi[c * 16 + (x >> 4)].
-     * Built once through the zero-checked mul(); the log[0] sentinel
-     * is never read (tests/gf256_test.cc pins this).
-     */
-    static const uint8_t *mulTablesLo();
-    static const uint8_t *mulTablesHi();
 
   private:
     struct Tables

@@ -64,8 +64,8 @@ ReedSolomon::ReedSolomon(unsigned n, unsigned k)
         generator_ = polyMul(generator_, factor);
     }
 
-    // Per-syndrome Horner multiplier tables for the SIMD batch
-    // syndrome kernel: row s is multiply-by-alpha^(s+1).
+    // Per-syndrome Horner multiplier tables for rowSyndromes(): row
+    // s is multiply-by-alpha^(s+1).
     syndrome_tables_.resize(static_cast<size_t>(n_ - k_) * 16);
     for (unsigned s = 0; s < n_ - k_; ++s) {
         const uint8_t *row =
@@ -116,6 +116,22 @@ ReedSolomon::computeSyndromes(const std::vector<uint8_t> &received) const
         syndromes[s] = acc;
     }
     return syndromes;
+}
+
+void
+ReedSolomon::rowSyndromes(const uint8_t *const *cols, size_t rows,
+                          uint8_t *out) const
+{
+    for (unsigned s = 0; s < n_ - k_; ++s) {
+        const uint8_t *mul = syndrome_tables_.data() + s * 16;
+        uint8_t *dst = out + s * rows;
+        std::fill(dst, dst + rows, uint8_t{0});
+        for (unsigned c = 0; c < n_; ++c) {
+            const uint8_t *col = cols[c];
+            for (size_t r = 0; r < rows; ++r)
+                dst[r] = mul[dst[r]] ^ col[r];
+        }
+    }
 }
 
 RsDecodeResult

@@ -68,23 +68,22 @@ class ReedSolomon
      * erased position zeroed and @p syndromes must hold the parity()
      * syndrome values of @p word (as computeSyndromes produces).
      * This is the back half of decode(); EncodingUnitCodec uses it
-     * after batch-computing the syndromes of all unit rows in one
-     * SIMD pass. Results and stats are identical to decode().
+     * after computing the syndromes of all unit rows with
+     * rowSyndromes(). Results and stats are identical to decode().
      */
     RsDecodeResult decodeWithSyndromes(
         std::vector<uint8_t> word, const std::vector<size_t> &erasures,
         const uint8_t *syndromes) const;
 
     /**
-     * parity() rows of 16 bytes: row s maps v to
-     * mul(alpha^(s+1), v) — the per-syndrome Horner multiplier in
-     * the layout the gf16_syndromes kernel consumes.
+     * Syndromes of many row codewords at once. cols[c] points at
+     * @p rows symbols (0..15) of column c, for c in [0, n); row r's
+     * codeword is cols[0][r]..cols[n-1][r]. Writes syndrome s of row
+     * r to out[s * rows + r] (parity() * rows values), the same value
+     * the per-word Horner evaluation at alpha^(s+1) gives.
      */
-    const std::vector<uint8_t> &
-    syndromeMulTables() const
-    {
-        return syndrome_tables_;
-    }
+    void rowSyndromes(const uint8_t *const *cols, size_t rows,
+                      uint8_t *out) const;
 
     /** Extract the k data symbols from a full codeword. */
     std::vector<uint8_t>
@@ -97,6 +96,8 @@ class ReedSolomon
     unsigned n_;
     unsigned k_;
     std::vector<uint8_t> generator_;
+
+    /** parity() rows of 16: row s maps v to mul(alpha^(s+1), v). */
     std::vector<uint8_t> syndrome_tables_;
 
     std::vector<uint8_t> computeSyndromes(

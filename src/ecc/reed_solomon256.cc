@@ -4,7 +4,6 @@
 #include <array>
 
 #include "common/error.h"
-#include "common/simd.h"
 #include "ecc/gf256.h"
 
 namespace dnastore::ecc {
@@ -107,16 +106,13 @@ ReedSolomon256::computeSyndromes(
     // once. Field-identical to the Horner reference (GF sums are
     // XORs, so the accumulation order does not matter).
     std::vector<uint8_t> syndromes(n_ - k_, 0);
-    const simd::Kernels &kernels = simd::kernels();
-    const uint8_t *mul_lo = GF256::mulTablesLo();
-    const uint8_t *mul_hi = GF256::mulTablesHi();
     const unsigned parity = n_ - k_;
     for (unsigned i = 0; i < n_; ++i) {
         if (received[i] == 0)
             continue;
-        kernels.gf256_mul_const_accum(
-            received[i], syndrome_coeffs_.data() + i * parity,
-            syndromes.data(), parity, mul_lo, mul_hi);
+        const uint8_t *coeffs = syndrome_coeffs_.data() + i * parity;
+        for (unsigned s = 0; s < parity; ++s)
+            syndromes[s] ^= GF256::mul(received[i], coeffs[s]);
     }
     return syndromes;
 }
@@ -203,13 +199,10 @@ ReedSolomon256::decode(const std::vector<uint8_t> &received,
 
     Poly locator = polyMul(sigma, erasure_locator);
 
-    // Chien search, vectorized over candidate positions: evaluate
-    // the locator at every alpha^-(n-1-pos) simultaneously by
-    // accumulating one mul-by-coefficient row per locator degree.
+    // Chien search over all candidate positions at once: evaluate
+    // the locator at every alpha^-(n-1-pos) by accumulating one
+    // mul-by-coefficient row per locator degree.
     std::array<uint8_t, GF256::kMultGroupOrder> chien_eval{};
-    const simd::Kernels &kernels = simd::kernels();
-    const uint8_t *mul_lo = GF256::mulTablesLo();
-    const uint8_t *mul_hi = GF256::mulTablesHi();
     for (size_t d = 0; d < locator.size(); ++d) {
         if (locator[d] == 0)
             continue;
@@ -218,10 +211,9 @@ ReedSolomon256::decode(const std::vector<uint8_t> &received,
         // so every nonzero coefficient has a precomputed row.
         panicIf(d >= static_cast<size_t>(n_ - k_) + 1,
                 "RS256 locator degree exceeds parity");
-        kernels.gf256_mul_const_accum(locator[d],
-                                      chien_powers_.data() + d * n_,
-                                      chien_eval.data(), n_, mul_lo,
-                                      mul_hi);
+        const uint8_t *powers = chien_powers_.data() + d * n_;
+        for (unsigned pos = 0; pos < n_; ++pos)
+            chien_eval[pos] ^= GF256::mul(locator[d], powers[pos]);
     }
     std::vector<size_t> error_positions;
     for (unsigned pos = 0; pos < n_; ++pos) {

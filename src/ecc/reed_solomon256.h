@@ -52,8 +52,7 @@ class ReedSolomon256
 
     /** syndrome_coeffs_[i * parity + s] = alpha^((s+1)*(n-1-i)):
      *  position i's contribution weights, so the syndrome vector is
-     *  an XOR of mul-by-received[i] rows — the exact shape of the
-     *  gf256_mul_const_accum kernel. */
+     *  an XOR of mul-by-received[i] rows. */
     std::vector<uint8_t> syndrome_coeffs_;
 
     /** chien_powers_[d * n + pos] = alpha^(-d*(n-1-pos)): degree d's

@@ -135,6 +135,72 @@ TEST_F(BlockDeviceTest, OverflowChainBeyondInlineSlots)
     EXPECT_GT(device_.costs().roundTrips(), trips_before + 1);
 }
 
+// The next two tests hand assembleRange units as a decode could
+// produce them from stray molecules: a pointer record in the block's
+// first update slot.
+
+/** Serialized overflow pointer to @p target. */
+Bytes
+pointerRecord(const BlockDevice &device, uint64_t target)
+{
+    UpdateRecord record;
+    record.kind = UpdateRecord::Kind::kOverflowPointer;
+    record.overflow_block = target;
+    return record.serialize(device.partition().config().unitDataBytes());
+}
+
+TEST_F(BlockDeviceTest, PhantomOverflowPointerIsNotFollowed)
+{
+    constexpr uint64_t kBlock = 3;
+    const uint64_t leaves = device_.partition().tree().leafCount();
+    const size_t trips_before = device_.costs().roundTrips();
+    // Past the address space (the value a phantom record decoded on
+    // a real read), data blocks, and blockCount(), the excluded low
+    // end of the container range.
+    for (uint64_t target : {uint64_t{7264615196989369170u}, leaves,
+                            uint64_t{0}, kBlock, device_.blockCount()}) {
+        std::map<uint64_t, BlockVersions> units;
+        units[kBlock].versions[0] = blockBytes(kBlock);
+        units[kBlock].versions[1] = pointerRecord(device_, target);
+        auto got = device_.assembleRange(kBlock, kBlock, units);
+        ASSERT_EQ(got.size(), 1u);
+        EXPECT_FALSE(got[0].has_value()) << "pointer to " << target;
+    }
+    // None of them cost a round trip.
+    EXPECT_EQ(device_.costs().roundTrips(), trips_before);
+}
+
+TEST_F(BlockDeviceTest, OverflowPointerCycleEnds)
+{
+    constexpr uint64_t kBlock = 3;
+    const uint64_t top = device_.partition().tree().leafCount() - 1;
+    std::map<uint64_t, BlockVersions> units;
+    units[kBlock].versions[0] = blockBytes(kBlock);
+    units[kBlock].versions[1] = pointerRecord(device_, top);
+
+    // A container that points at itself.
+    units[top].versions[0] = pointerRecord(device_, top);
+    EXPECT_FALSE(
+        device_.assembleRange(kBlock, kBlock, units)[0].has_value());
+
+    // Two containers that point at each other.
+    units[top].versions[0] = pointerRecord(device_, top - 1);
+    units[top - 1].versions[0] = pointerRecord(device_, top);
+    EXPECT_FALSE(
+        device_.assembleRange(kBlock, kBlock, units)[0].has_value());
+
+    // Control: the same container holding a real record resolves.
+    const Bytes fresh(device_.partition().config().block_data_bytes, '#');
+    UpdateRecord replace;
+    replace.kind = UpdateRecord::Kind::kReplace;
+    replace.replacement = fresh;
+    units[top].versions[0] = replace.serialize(
+        device_.partition().config().unitDataBytes());
+    auto resolved = device_.assembleRange(kBlock, kBlock, units);
+    ASSERT_TRUE(resolved[0].has_value());
+    EXPECT_EQ(*resolved[0], fresh);
+}
+
 TEST_F(BlockDeviceTest, ReadRange)
 {
     auto contents = device_.readRange(4, 9);

@@ -116,20 +116,6 @@ TEST(GF256Test, ZeroLogSentinelIsNotAValidExponent)
     EXPECT_THROW(GF256::log(0), dnastore::PanicError);
 }
 
-TEST(GF256Test, NibbleMulTablesMatchCheckedMul)
-{
-    const uint8_t *lo = GF256::mulTablesLo();
-    const uint8_t *hi = GF256::mulTablesHi();
-    for (unsigned c = 0; c < 256; ++c) {
-        for (unsigned x = 0; x < 256; ++x) {
-            EXPECT_EQ(static_cast<uint8_t>(lo[c * 16 + (x & 0xF)] ^
-                                           hi[c * 16 + (x >> 4)]),
-                      GF256::mul(static_cast<uint8_t>(c),
-                                 static_cast<uint8_t>(x)));
-        }
-    }
-}
-
 std::vector<uint8_t>
 randomData(dnastore::Rng &rng, unsigned k)
 {

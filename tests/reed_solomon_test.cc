@@ -9,6 +9,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "ecc/gf16.h"
 #include "ecc/reed_solomon.h"
 
 namespace dnastore::ecc {
@@ -171,6 +172,43 @@ TEST(ReedSolomonTest, OtherGeometries)
         RsDecodeResult result = rs.decode(corrupted);
         ASSERT_TRUE(result.ok());
         EXPECT_EQ(*result.codeword, codeword);
+    }
+}
+
+TEST(ReedSolomonTest, RowSyndromesMatchHorner)
+{
+    // The table-driven batch pass against an independent Horner
+    // evaluation of each row codeword straight from GF16 ops, over
+    // random geometries and row counts.
+    dnastore::Rng rng(0x51AD'0003);
+    for (int trial = 0; trial < 200; ++trial) {
+        const unsigned n = 2 + static_cast<unsigned>(rng.nextBelow(14));
+        const unsigned k = 1 + static_cast<unsigned>(rng.nextBelow(n - 1));
+        const size_t rows = 1 + rng.nextBelow(70);
+        ReedSolomon rs(n, k);
+
+        std::vector<std::vector<uint8_t>> cols(
+            n, std::vector<uint8_t>(rows));
+        std::vector<const uint8_t *> col_ptrs;
+        for (std::vector<uint8_t> &col : cols) {
+            for (uint8_t &v : col)
+                v = static_cast<uint8_t>(rng.nextBelow(16));
+            col_ptrs.push_back(col.data());
+        }
+        std::vector<uint8_t> got(rs.parity() * rows, 0xAA);
+        rs.rowSyndromes(col_ptrs.data(), rows, got.data());
+
+        for (unsigned s = 0; s < rs.parity(); ++s) {
+            const uint8_t x = GF16::alphaPow(static_cast<int>(s + 1));
+            for (size_t r = 0; r < rows; ++r) {
+                uint8_t acc = 0;
+                for (unsigned c = 0; c < n; ++c)
+                    acc = GF16::add(GF16::mul(acc, x), cols[c][r]);
+                ASSERT_EQ(got[s * rows + r], acc)
+                    << "trial " << trial << " n=" << n << " k=" << k
+                    << " s=" << s << " r=" << r;
+            }
+        }
     }
 }
 
